@@ -7,14 +7,36 @@
 //! order ([`Topology::slot_of`]). Because CONGEST permits exactly one
 //! message per directed link per round, a slot holds at most one message;
 //! delivery is a single indexed write, a node's inbox is the contiguous
-//! slot range of its ports, and the per-inbox `sort_by_key` of the old
-//! engine disappears entirely — port order is structural.
+//! slot range of its ports, and port order is structural — no inbox is
+//! ever sorted.
 //!
 //! The arena is **double-buffered** (`cur` is read this round, `nxt` is
-//! written for the next) and buffers swap at the end of each round. Slots
-//! written in a round are remembered in a *dirty list* so clearing costs
-//! `O(messages)`, not `O(total ports)`; an **active worklist** per chunk
-//! makes halted nodes cost literally zero.
+//! written for the next) and buffers swap at the end of each round. A
+//! node's inbox slots are cleared right after the node is stepped, while
+//! they are still in cache, so no slot is visited twice and no list of
+//! written slots is kept; an **active worklist** per chunk makes halted
+//! nodes cost literally zero.
+//!
+//! # Delivery blocks
+//!
+//! A chunk's mailbox is cut into **blocks** of [`MAILBOX_BLOCK_SLOTS`]
+//! consecutive slots, and every send is staged into one bucket per
+//! destination (chunk, block) pair. Delivery drains the buckets block by
+//! block, so its writes land in a window of a few MiB that the TLB and
+//! the caches already cover, instead of anywhere in a mailbox of tens of
+//! MiB: on a 700k-node network a random scatter of sends costs most of a
+//! round. A chunk whose whole mailbox fits in one block gains nothing
+//! from staging, so mail that stays inside such a chunk is written
+//! straight into its `nxt` buffer (**direct write**).
+//!
+//! The block size, 2^17 slots (3 MiB of MWHVC's 24-byte slots), is a
+//! constant: it must be small enough for a block's slots and receiver
+//! tables to stay cache- and TLB-resident during a drain, and large
+//! enough that the small instances of a serving workload (up to ~45k
+//! slots) fit in one block and keep the direct write — staging their
+//! mail in 2^15-slot blocks was measured 10–15% slower on a 2-vCPU x86
+//! VM. Sizes from 2^14 to 2^19 performed alike there on a 700k-node
+//! solve.
 //!
 //! # Chunks and the two phases
 //!
@@ -29,28 +51,24 @@
 //! phases:
 //!
 //! 1. [`phase_step`] — every chunk steps its active nodes in ascending
-//!    position order. Sends whose destination slot lies in the sender's
-//!    own chunk take the **intra-chunk fast path**: a direct write into
-//!    the chunk's `nxt` mailbox buffer, no staging. Cross-chunk sends are
-//!    *staged* into per-destination-chunk buckets as `(destination slot,
-//!    payload)` pairs. Both are accounted on the send side
-//!    ([`SendTally`](crate::process::SendTally), which also tracks the
-//!    intra/cross split); inboxes are consumed and their dirty slots
-//!    cleared.
-//! 2. [`phase_deliver`] — every chunk drains the buckets addressed to it
-//!    (in ascending source-chunk order) into its `nxt` buffer, dropping
-//!    mail addressed to halted nodes (already charged at send time — mail
-//!    to halted nodes is counted exactly once, by the sender), then swaps
-//!    its buffers.
+//!    position order. Each send either takes the direct write or is
+//!    staged as a `(destination slot, payload)` pair into the bucket of
+//!    its destination (chunk, block); the routing tables built by
+//!    [`ChunkState::rebuild`] decide which, per port. All sends are
+//!    accounted on the send side ([`SendTally`](crate::process::SendTally),
+//!    which also counts the mail that crosses chunks).
+//! 2. [`phase_deliver`] — every chunk drains the buckets addressed to it,
+//!    block by block, into its `nxt` buffer, dropping mail addressed to
+//!    halted nodes (already charged at send time — mail to halted nodes
+//!    is counted exactly once, by the sender), then swaps its buffers.
 //!
-//! A fast-path write to a receiver that halts (or already halted) is
+//! A direct write to a receiver that halts (or already halted) is
 //! equivalent to the dropped bucket delivery: the slot belongs to a node
-//! that is never stepped again, so the message is never read, and the
-//! unconditional dirty-slot sweep clears it. A fast-path write to an
-//! *occupied* slot is a duplicate same-port send; the duplicate falls
-//! back to the sender chunk's own staging bucket so [`phase_deliver`]
-//! applies the canonical halted-before-duplicate check and reports the
-//! identical typed error in the identical round.
+//! that is never stepped again, so the message is never read. A direct
+//! write to an *occupied* slot is a duplicate same-port send (or such
+//! stale mail); it falls back to the chunk's own bucket so
+//! [`phase_deliver`] applies the canonical halted-before-duplicate check
+//! and reports the identical typed error in the identical round.
 //!
 //! Writes are chunk-local in both phases, so the parallel scheduler needs
 //! no locks and no `unsafe`: chunk state simply moves to a worker and back.
@@ -67,17 +85,32 @@
 //!
 //! # Steady-state allocation
 //!
-//! After warm-up (bucket/dirty-list capacity growth in early rounds), a
-//! round performs **zero heap allocations**: staging reuses bucket
-//! capacity, dirty lists reuse theirs, and chunk state is moved, never
-//! reallocated. `tests/zero_alloc.rs` enforces this with a counting global
-//! allocator.
+//! After warm-up (bucket capacity growth in early rounds), a round
+//! performs **zero heap allocations**: staging reuses bucket capacity and
+//! chunk state is moved, never reallocated. A chunk's staging buckets
+//! live in it, so an [`EngineArena`] carries their capacity across solves
+//! too.
+//! `tests/zero_alloc.rs` enforces this with a counting global allocator,
+//! on single-block and multi-block mailboxes.
+
+use std::ops::Range;
 
 use crate::error::SimError;
 use crate::metrics::{BitBudget, RoundMetrics};
 use crate::partition::Partition;
-use crate::process::{Ctx, Process, SendTally, StagedSends, Status, LOCAL_CHUNK};
+use crate::process::{Ctx, Process, SendTally, StagedSends, Status, DIRECT_WRITE};
 use crate::topology::Topology;
+
+/// log2 of [`MAILBOX_BLOCK_SLOTS`].
+const BLOCK_SHIFT: u32 = 17;
+
+/// Mailbox slots per delivery block (see the module docs for the choice).
+pub const MAILBOX_BLOCK_SLOTS: usize = 1 << BLOCK_SHIFT;
+
+/// Delivery blocks of a chunk mailbox of `num_slots` slots (at least one).
+fn blocks_of(num_slots: usize) -> usize {
+    num_slots.div_ceil(MAILBOX_BLOCK_SLOTS).max(1)
+}
 
 /// Everything one worker needs to run its share of a round: the node
 /// programs of a contiguous position range of the partition arrangement,
@@ -86,9 +119,6 @@ use crate::topology::Topology;
 /// the scheduler and a worker thread.
 #[derive(Debug)]
 pub(crate) struct ChunkState<P: Process> {
-    /// This chunk's index — the staging bucket fast-path duplicates fall
-    /// back to.
-    pub chunk_index: usize,
     /// Original (global) node id per local node. Under the identity
     /// arrangement this is just `first_position + lu`; under a locality
     /// arrangement it is the permutation restricted to this chunk. Node
@@ -104,13 +134,12 @@ pub(crate) struct ChunkState<P: Process> {
     pub cur: Vec<Option<P::Msg>>,
     /// Mailbox slots being written for next round.
     pub nxt: Vec<Option<P::Msg>>,
-    /// Occupied slots of `cur` (cleared after consumption).
-    dirty_cur: Vec<u32>,
-    /// Occupied slots of `nxt`.
-    dirty_nxt: Vec<u32>,
-    /// Outgoing staging: one bucket per destination chunk, entries are
-    /// `(destination-local slot, payload)`.
+    /// Outgoing staging: one bucket per destination (chunk, block) pair,
+    /// numbered chunk-major; entries are `(destination-local slot,
+    /// payload)`.
     pub stage: Vec<Vec<(u32, P::Msg)>>,
+    /// The buckets that address this chunk's own blocks, in block order.
+    pub own_buckets: Range<usize>,
     /// Send-side accounting for the current round.
     pub tally: SendTally,
     /// Nodes of this chunk that halted in the current round.
@@ -124,9 +153,9 @@ pub(crate) struct ChunkState<P: Process> {
     local_offsets: Vec<u32>,
     /// Per local slot: owning local node (for the halted-receiver check).
     slot_node: Vec<u32>,
-    /// Per local slot, viewed as a *sender* port: destination chunk, or
-    /// [`LOCAL_CHUNK`] when the destination lies in this chunk (fast path).
-    dest_chunk: Vec<u32>,
+    /// Per local slot, viewed as a *sender* port: destination bucket, or
+    /// [`DIRECT_WRITE`].
+    dest_bucket: Vec<u32>,
     /// Per local slot, viewed as a *sender* port: destination-local slot.
     dest_local: Vec<u32>,
 }
@@ -137,22 +166,20 @@ impl<P: Process> ChunkState<P> {
     /// a recycled chunk, retains its capacity.
     pub(crate) fn empty() -> Self {
         Self {
-            chunk_index: 0,
             global_ids: Vec::new(),
             nodes: Vec::new(),
             halted: Vec::new(),
             worklist: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
-            dirty_cur: Vec::new(),
-            dirty_nxt: Vec::new(),
             stage: Vec::new(),
+            own_buckets: 0..0,
             tally: SendTally::default(),
             newly_halted: 0,
             delivery_error: None,
             local_offsets: Vec::new(),
             slot_node: Vec::new(),
-            dest_chunk: Vec::new(),
+            dest_bucket: Vec::new(),
             dest_local: Vec::new(),
         }
     }
@@ -169,19 +196,28 @@ impl<P: Process> ChunkState<P> {
 
     /// Re-derives every per-topology table for a (possibly different)
     /// topology and partition **in place**, reusing the capacity of every
-    /// buffer — mailbox slots, dirty lists, worklist, staging buckets and
-    /// routing tables all keep their allocations across solves. `nodes` is
-    /// cleared; the caller refills it *in position order*. The result is
-    /// logically identical to [`ChunkState::build`] for the same arguments.
+    /// buffer — mailbox slots, worklist, staging buckets and routing tables
+    /// all keep their allocations across solves. `nodes` is cleared; the
+    /// caller refills it *in position order*. The result is logically
+    /// identical to [`ChunkState::build`] for the same arguments.
     pub(crate) fn rebuild(&mut self, topo: &Topology, part: &Partition, index: usize) {
-        let num_chunks = part.num_chunks();
         let bounds = part.bounds();
         let (start, end) = (bounds[index], bounds[index + 1]);
         let slot_bases: Vec<usize> = bounds.iter().map(|&b| part.slot_offset(b)).collect();
+        // First bucket of every chunk (one bucket per block, chunk-major),
+        // plus the total bucket count at the end.
+        let mut bucket_bases = vec![0];
+        let mut total = 0;
+        for (lo, hi) in slot_bases.iter().zip(slot_bases.iter().skip(1)) {
+            total += blocks_of(hi - lo);
+            bucket_bases.push(total);
+        }
         let slot_base = slot_bases[index];
         let num_slots = slot_bases[index + 1] - slot_base;
+        self.own_buckets = bucket_bases[index]..bucket_bases[index + 1];
+        // Mail that stays in a one-block chunk needs no staging.
+        let direct = self.own_buckets.len() == 1;
 
-        self.chunk_index = index;
         self.global_ids.clear();
         self.global_ids
             .extend((start..end).map(|pos| part.node_at(pos) as u32));
@@ -194,23 +230,18 @@ impl<P: Process> ChunkState<P> {
         self.cur.resize_with(num_slots, || None);
         self.nxt.clear();
         self.nxt.resize_with(num_slots, || None);
-        self.dirty_cur.clear();
-        self.dirty_nxt.clear();
         // Keep existing bucket capacity; only adjust the bucket count.
         for bucket in &mut self.stage {
             bucket.clear();
         }
-        self.stage.truncate(num_chunks);
-        while self.stage.len() < num_chunks {
-            self.stage.push(Vec::new());
-        }
+        self.stage.resize_with(total, Vec::new);
         self.tally.clear();
         self.newly_halted = 0;
         self.delivery_error = None;
 
         self.local_offsets.clear();
         self.slot_node.clear();
-        self.dest_chunk.clear();
+        self.dest_bucket.clear();
         self.dest_local.clear();
         self.local_offsets.push(0);
         for (lu, pos) in (start..end).enumerate() {
@@ -218,13 +249,17 @@ impl<P: Process> ChunkState<P> {
             for p in 0..topo.degree(u) {
                 self.slot_node.push(lu as u32);
                 // The peer's receiving slot, in the *arrangement's* arena
-                // layout: its chunk decides staging vs the fast path.
+                // layout: its chunk and block pick the bucket.
                 let (v, q) = topo.peer(u, p);
                 let recip = part.slot_offset(part.position(v)) + q;
-                let c = slot_bases[1..=num_chunks].partition_point(|&b| b <= recip);
-                self.dest_chunk
-                    .push(if c == index { LOCAL_CHUNK } else { c as u32 });
-                self.dest_local.push((recip - slot_bases[c]) as u32);
+                let c = slot_bases[1..].partition_point(|&b| b <= recip);
+                let local = recip - slot_bases[c];
+                self.dest_bucket.push(if direct && c == index {
+                    DIRECT_WRITE
+                } else {
+                    (bucket_bases[c] + (local >> BLOCK_SHIFT)) as u32
+                });
+                self.dest_local.push(local as u32);
             }
             self.local_offsets.push(self.slot_node.len() as u32);
         }
@@ -248,17 +283,12 @@ impl<P: Process> ChunkState<P> {
         staged_slots: impl Iterator<Item = u32>,
         sent_round: u64,
     ) -> Option<SimError> {
-        let mut seen = vec![false; self.cur.len()];
-        // Intra-chunk fast-path messages from `sent_round` were written
-        // straight into `nxt` during the step phase; `dirty_nxt` lists
-        // exactly those slots at this point (the deferred delivery that
-        // would have swapped them away never ran). Seed them so a staged
-        // duplicate colliding with a fast-path delivery is still caught.
-        // Seeding halted receivers' slots is harmless: staged mail to
-        // halted receivers is skipped before `seen` is consulted.
-        for &lslot in &self.dirty_nxt {
-            seen[lslot as usize] = true;
-        }
+        // Direct writes from `sent_round` already sit in `nxt` (the
+        // deferred delivery that would have swapped them away never ran).
+        // Seed them so a staged duplicate colliding with a direct write is
+        // still caught. Stale mail of halted receivers seeds too, harmlessly:
+        // staged mail to halted receivers is skipped before `seen` is read.
+        let mut seen: Vec<bool> = self.nxt.iter().map(Option::is_some).collect();
         for lslot in staged_slots {
             let ls = lslot as usize;
             let receiver = self.slot_node[ls] as usize;
@@ -279,8 +309,8 @@ impl<P: Process> ChunkState<P> {
 }
 
 /// A reusable bundle of round-engine buffers: the mailbox slot arena (both
-/// buffers), dirty lists, active worklist, staging buckets, and routing
-/// tables of one engine chunk.
+/// buffers), active worklist, staging buckets, and routing tables of one
+/// engine chunk.
 ///
 /// Build one with [`EngineArena::new`], hand it to
 /// [`Simulator::with_arena`](crate::Simulator::with_arena), and recover it
@@ -310,31 +340,28 @@ impl<P: Process> Default for EngineArena<P> {
     }
 }
 
-/// Phase 1 of a round: step every active node of `chunk`, writing
-/// intra-chunk sends straight into the local `nxt` mailbox (fast path),
-/// staging cross-chunk sends, and consuming inboxes. Mutates only
-/// chunk-local state.
+/// Phase 1 of a round: step every active node of `chunk`, writing or
+/// staging its sends, and clearing its inbox slots right after it ran.
+/// Mutates only chunk-local state.
 pub(crate) fn phase_step<P: Process>(
     chunk: &mut ChunkState<P>,
     round: u64,
     budget: Option<BitBudget>,
 ) {
     let ChunkState {
-        chunk_index,
         global_ids,
         nodes,
         halted,
         worklist,
         cur,
         nxt,
-        dirty_cur,
-        dirty_nxt,
         stage,
+        own_buckets,
         tally,
         newly_halted,
         delivery_error,
         local_offsets,
-        dest_chunk,
+        dest_bucket,
         dest_local,
         ..
     } = chunk;
@@ -345,26 +372,29 @@ pub(crate) fn phase_step<P: Process>(
         // aborting, so don't step node programs against the corrupt inbox.
         return;
     }
+    let own = own_buckets.start as u32..own_buckets.end as u32;
     for &lu_raw in worklist.iter() {
         let lu = lu_raw as usize;
-        let lo = local_offsets[lu] as usize;
-        let hi = local_offsets[lu + 1] as usize;
+        let ports = local_offsets[lu] as usize..local_offsets[lu + 1] as usize;
+        let inbox = &mut cur[ports.clone()];
         let mut ctx = Ctx::staged(
             round,
             global_ids[lu] as usize,
-            &cur[lo..hi],
+            inbox,
             StagedSends {
                 buckets: stage.as_mut_slice(),
-                dest_chunk: &dest_chunk[lo..hi],
-                dest_local: &dest_local[lo..hi],
+                dest_bucket: &dest_bucket[ports.clone()],
+                dest_local: &dest_local[ports],
                 nxt: nxt.as_mut_slice(),
-                dirty_nxt: &mut *dirty_nxt,
-                self_bucket: *chunk_index,
+                own_buckets: own.clone(),
                 tally: &mut *tally,
                 budget,
             },
         );
-        if nodes[lu].on_round(&mut ctx) == Status::Halted {
+        let status = nodes[lu].on_round(&mut ctx);
+        // The inbox is consumed; clear it while it is still in cache.
+        inbox.fill(None);
+        if status == Status::Halted {
             halted[lu] = true;
             *newly_halted += 1;
         }
@@ -372,16 +402,12 @@ pub(crate) fn phase_step<P: Process>(
     if *newly_halted > 0 {
         worklist.retain(|&lu| !halted[lu as usize]);
     }
-    // Inboxes are consumed; clear exactly the occupied slots.
-    for &s in dirty_cur.iter() {
-        cur[s as usize] = None;
-    }
-    dirty_cur.clear();
 }
 
-/// Phase 2 of a round: deliver the buckets addressed to `chunk` (one per
-/// source chunk, ascending) into its `nxt` buffer, dropping mail to halted
-/// receivers, then swap the buffers. Buckets are drained but keep their
+/// Phase 2 of a round: deliver the buckets addressed to `chunk` into its
+/// `nxt` buffer, dropping mail to halted receivers, then swap the buffers.
+/// Each bucket holds the mail of one destination block, so its drain
+/// writes within that block only. Buckets are drained but keep their
 /// capacity; the caller returns them to their owners.
 ///
 /// Two messages landing on the same slot in one round violate CONGEST (one
@@ -403,7 +429,8 @@ pub(crate) fn phase_deliver<P: Process>(
                 // Already charged by the sender; the program is gone.
                 continue;
             }
-            if chunk.nxt[ls].is_some() {
+            let slot = &mut chunk.nxt[ls];
+            if slot.is_some() {
                 if chunk.delivery_error.is_none() {
                     chunk.delivery_error = Some(SimError::DuplicateSend {
                         round: sent_round,
@@ -413,12 +440,10 @@ pub(crate) fn phase_deliver<P: Process>(
                 }
                 continue;
             }
-            chunk.nxt[ls] = Some(msg);
-            chunk.dirty_nxt.push(lslot);
+            *slot = Some(msg);
         }
     }
     std::mem::swap(&mut chunk.cur, &mut chunk.nxt);
-    std::mem::swap(&mut chunk.dirty_cur, &mut chunk.dirty_nxt);
 }
 
 /// Folds per-chunk tallies (in ascending chunk order) into the round's
@@ -474,6 +499,31 @@ mod tests {
         }
     }
 
+    /// Decodes a routing entry of `chunks[ci]` back to a global arena slot.
+    fn routed_slot(
+        chunks: &[ChunkState<DummyProc>],
+        slot_bases: &[usize],
+        ci: usize,
+        ls: usize,
+    ) -> usize {
+        let raw = chunks[ci].dest_bucket[ls];
+        let dc = if raw == DIRECT_WRITE {
+            ci
+        } else {
+            chunks
+                .iter()
+                .position(|c| c.own_buckets.contains(&(raw as usize)))
+                .unwrap()
+        };
+        let dl = chunks[ci].dest_local[ls] as usize;
+        if raw != DIRECT_WRITE {
+            // The bucket is the destination block of the slot.
+            let block = raw as usize - chunks[dc].own_buckets.start;
+            assert_eq!(block, dl / MAILBOX_BLOCK_SLOTS);
+        }
+        slot_bases[dc] + dl
+    }
+
     #[test]
     fn routing_tables_invert_reciprocal_slots() {
         let topo = crate::builders::complete(6);
@@ -484,6 +534,8 @@ mod tests {
             let bounds = part.bounds();
             let slot_bases: Vec<usize> = bounds.iter().map(|&b| part.slot_offset(b)).collect();
             for (ci, chunk) in chunks.iter().enumerate() {
+                assert_eq!(chunk.own_buckets, ci..ci + 1, "one block per chunk");
+                assert_eq!(chunk.stage.len(), 3);
                 for ls in 0..chunk.cur.len() {
                     // Recover the owning (node, port) from the arrangement
                     // layout, then check the routing entry addresses the
@@ -496,14 +548,46 @@ mod tests {
                     let p = gslot - part.slot_offset(pos);
                     let (v, q) = topo.peer(u, p);
                     let recip = part.slot_offset(part.position(v)) + q;
-                    let raw = chunk.dest_chunk[ls];
-                    let dc = if raw == LOCAL_CHUNK { ci } else { raw as usize };
-                    let dl = chunk.dest_local[ls] as usize;
-                    assert_eq!(slot_bases[dc] + dl, recip, "slot ({u}, {p})");
-                    // The sentinel marks exactly the intra-chunk targets.
+                    assert_eq!(routed_slot(&chunks, &slot_bases, ci, ls), recip);
+                    // One-block chunks write exactly their own mail directly.
                     let target_in_chunk =
                         bounds[ci] <= part.position(v) && part.position(v) < bounds[ci + 1];
-                    assert_eq!(raw == LOCAL_CHUNK, target_in_chunk, "slot ({u}, {p})");
+                    assert_eq!(
+                        chunk.dest_bucket[ls] == DIRECT_WRITE,
+                        target_in_chunk,
+                        "slot ({u}, {p})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_block_chunks_stage_by_destination_block() {
+        // A ring of n nodes has 2n slots: 3 blocks in one chunk, and two
+        // chunks of 2 blocks each.
+        let n = MAILBOX_BLOCK_SLOTS + MAILBOX_BLOCK_SLOTS / 4;
+        let links: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let topo = Topology::from_links(n, &links);
+        for workers in [1, 2] {
+            let part = Partition::contiguous(&topo, workers);
+            let chunks: Vec<ChunkState<DummyProc>> = (0..workers)
+                .map(|i| ChunkState::build(&topo, &part, i))
+                .collect();
+            let slot_bases: Vec<usize> =
+                part.bounds().iter().map(|&b| part.slot_offset(b)).collect();
+            let blocks = if workers == 1 { 3 } else { 2 };
+            for (ci, chunk) in chunks.iter().enumerate() {
+                assert_eq!(chunk.own_buckets, ci * blocks..(ci + 1) * blocks);
+                assert_eq!(chunk.stage.len(), workers * blocks);
+                assert!(chunk.dest_bucket.iter().all(|&b| b != DIRECT_WRITE));
+                for ls in 0..chunk.cur.len() {
+                    let (u, p) = topo.slot_owner(slot_bases[ci] + ls);
+                    let (v, q) = topo.peer(u, p);
+                    assert_eq!(
+                        routed_slot(&chunks, &slot_bases, ci, ls),
+                        topo.slot_of(v, q)
+                    );
                 }
             }
         }
@@ -514,7 +598,8 @@ mod tests {
         let topo = crate::builders::grid(3, 4);
         let part = Partition::contiguous(&topo, 1);
         let c: ChunkState<DummyProc> = ChunkState::build(&topo, &part, 0);
-        assert!(c.dest_chunk.iter().all(|&d| d == LOCAL_CHUNK));
+        assert!(c.dest_bucket.iter().all(|&d| d == DIRECT_WRITE));
+        assert_eq!(c.own_buckets, 0..1);
         assert_eq!(c.global_ids, (0..topo.len() as u32).collect::<Vec<_>>());
     }
 

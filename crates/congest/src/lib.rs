@@ -120,7 +120,7 @@ pub mod sync;
 mod topology;
 
 pub use cancel::{CancelToken, Interrupt, InterruptReason};
-pub use engine::EngineArena;
+pub use engine::{EngineArena, MAILBOX_BLOCK_SLOTS};
 pub use error::SimError;
 pub use message::{bits_for_range, bits_for_value, Message};
 pub use metrics::{

@@ -50,12 +50,11 @@ pub struct SimReport {
     pub max_link_bits: u64,
     /// Whether every node halted by the end of the run.
     pub all_halted: bool,
-    /// Messages delivered within the sending chunk (the engine's
-    /// intra-chunk fast path — no staging-bucket round trip). Excluded
-    /// from equality; see the type docs.
+    /// Messages delivered within the sending chunk (they never change
+    /// workers). Excluded from equality; see the type docs.
     pub intra_chunk_messages: u64,
-    /// Messages that crossed a chunk boundary through the staging
-    /// buckets. The quantity the locality partition policy minimizes.
+    /// Messages that crossed a chunk boundary, handed to the receiving
+    /// chunk's worker through the staging buckets. The quantity the locality partition policy minimizes.
     /// Excluded from equality; see the type docs.
     pub cross_chunk_messages: u64,
     /// Per-round trace; populated only when tracing is enabled on the

@@ -26,12 +26,13 @@
 //! round's drained one, so bucket capacity is never re-grown), then makes
 //! **one fused dispatch per chunk**: deliver the previous round's mail,
 //! step the current round, reply. One barrier per round, two channel
-//! messages per worker. Only *cross-chunk* mail rides the buckets:
-//! messages whose destination lies in the sender's own chunk are written
-//! straight into the chunk's next-round mailbox during the step (the
-//! intra-chunk fast path), so a [`PartitionPolicy::Locality`] chunking —
-//! which clusters connected nodes — shrinks the per-round cross-thread
-//! traffic to the true boundary cut. [`SimReport`] records the split.
+//! messages per worker. A chunk's own mail stays with it: in a one-block
+//! chunk it is written straight into the next-round mailbox during the
+//! step, and a multi-block chunk stages it into buckets that are routed
+//! back to itself. Only *cross-chunk* mail changes hands between workers,
+//! so a [`PartitionPolicy::Locality`] chunking — which clusters connected
+//! nodes — shrinks the per-round cross-thread traffic to the true
+//! boundary cut. [`SimReport`] records the split.
 
 use crate::cancel::Interrupt;
 use crate::engine::{finish_round, ChunkState, EngineArena};
@@ -139,8 +140,8 @@ impl<P: Process + 'static> ParallelSimulator<P> {
 
     /// Creates a parallel simulator on an **existing** pool, recycling the
     /// workers' engine arenas as this instance's chunks (mailbox slots,
-    /// dirty lists, worklists and staging buckets keep their capacity from
-    /// previous solves). Recover the pool — and the arenas — with
+    /// worklists and staging buckets keep their capacity from previous
+    /// solves). Recover the pool — and the arenas — with
     /// [`into_pool`](Self::into_pool).
     ///
     /// The instance is split into `min(pool.workers(), nodes.len())`
@@ -205,8 +206,13 @@ impl<P: Process + 'static> ParallelSimulator<P> {
                 chunks.push(Some(arena.chunk));
             }
         }
-        let inbound_pool = (0..workers)
-            .map(|_| Some(Vec::with_capacity(workers)))
+        let inbound_pool = chunks
+            .iter()
+            .map(|c| {
+                Some(Vec::with_capacity(
+                    workers * home(c.as_ref()).own_buckets.len(),
+                ))
+            })
             .collect();
         Self {
             topo,
@@ -362,25 +368,29 @@ impl<P: Process + 'static> ParallelSimulator<P> {
         let active_at_start = self.active;
 
         // Route the buckets staged in the previous round to their
-        // destinations: `stage[d]` of source chunk `s` becomes `inbound[s]`
-        // of destination chunk `d`. Buckets are double-buffered like the
-        // slot arena: the chunk gets last round's drained bucket (capacity
-        // intact) to stage into while its fresh bucket is out for delivery.
-        for d in 0..workers {
-            let mut inbound = home(self.inbound_pool[d].take());
+        // destinations: bucket `b` of destination chunk `d`, staged by
+        // source chunk `s`, becomes `inbound[(b - own.start) * workers + s]` of
+        // chunk `d` — block-major, so delivery drains one block at a time.
+        // Buckets are double-buffered like the slot arena: the source gets
+        // last round's drained bucket (capacity intact) to stage into
+        // while its fresh bucket is out for delivery.
+        for (d, pooled) in self.inbound_pool.iter_mut().enumerate() {
+            let own = home(self.chunks[d].as_ref()).own_buckets.clone();
+            let inbound = home(pooled.as_mut());
             if inbound.is_empty() {
                 // First round: nothing staged yet, hand out empty buckets.
-                for s in 0..workers {
-                    let src = home(self.chunks[s].as_mut());
-                    inbound.push(std::mem::take(&mut src.stage[d]));
+                for b in own {
+                    for s in 0..workers {
+                        let src = home(self.chunks[s].as_mut());
+                        inbound.push(std::mem::take(&mut src.stage[b]));
+                    }
                 }
             } else {
-                for (s, slot) in inbound.iter_mut().enumerate() {
-                    let src = home(self.chunks[s].as_mut());
-                    std::mem::swap(&mut src.stage[d], slot);
+                for (i, slot) in inbound.iter_mut().enumerate() {
+                    let src = home(self.chunks[i % workers].as_mut());
+                    std::mem::swap(&mut src.stage[own.start + i / workers], slot);
                 }
             }
-            self.inbound_pool[d] = Some(inbound);
         }
 
         // One fused dispatch per chunk: deliver the previous round, step
@@ -469,7 +479,10 @@ impl<P: Process + 'static> ParallelSimulator<P> {
             let dest = home(self.chunks[d].as_ref());
             let staged = (0..workers).flat_map(|s| {
                 let src = home(self.chunks[s].as_ref());
-                src.stage[d].iter().map(|&(lslot, _)| lslot)
+                src.stage[dest.own_buckets.clone()]
+                    .iter()
+                    .flatten()
+                    .map(|&(lslot, _)| lslot)
             });
             if let Some(err) = dest.scan_undelivered_duplicate(staged, sent_round) {
                 return Some(err);

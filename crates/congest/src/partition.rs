@@ -3,8 +3,9 @@
 //! The parallel engine splits the node set into per-worker chunks and cuts
 //! the flat mailbox arena along the same boundaries. A chunk is always a
 //! **contiguous range of positions** in some node ordering — that is what
-//! keeps the slot arena, dirty lists, and routing tables simple — so the
-//! only degree of freedom is *which ordering* the ranges are cut from:
+//! keeps the slot arena, its delivery blocks, and the routing tables
+//! simple — so the only degree of freedom is *which ordering* the ranges
+//! are cut from:
 //!
 //! * [`PartitionPolicy::Contiguous`] keeps the original node-id order
 //!   (the historical behaviour). On the paper's bipartite incidence this
@@ -14,8 +15,8 @@
 //!   breadth-first linear arrangement that clusters connected nodes —
 //!   vertices interleaved with the hyperedges they touch — and then cuts
 //!   that ordering. Connected neighbourhoods land in the same chunk, so
-//!   most messages stay chunk-local and skip the inter-chunk staging
-//!   buckets entirely (the engine's intra-chunk fast path).
+//!   most messages stay chunk-local and never change workers: the
+//!   engine delivers them inside the sending chunk.
 //!
 //! Both policies balance chunks by **port weight** (`degree + 1` per
 //! node), the same balance constraint the contiguous splitter always
@@ -35,7 +36,7 @@ use crate::topology::Topology;
 /// this separates vertices from hyperedges, so almost every link crosses
 /// chunks); `Locality` cuts a deterministic breadth-first arrangement
 /// that clusters connected nodes, so most messages stay chunk-local and
-/// take the engine's intra-chunk fast path. The policy affects scheduling
+/// never change workers. The policy affects scheduling
 /// and the intra/cross-chunk message split reported by
 /// [`SimReport`](crate::SimReport) — never results: both policies are
 /// bit-identical to the sequential scheduler for any protocol and any
@@ -183,6 +184,7 @@ impl Partition {
     }
 
     /// Number of chunks.
+    #[cfg(test)]
     pub(crate) fn num_chunks(&self) -> usize {
         self.bounds.len() - 1
     }

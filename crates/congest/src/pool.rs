@@ -63,8 +63,8 @@
 //!
 //! The pool keeps a free list of [`EngineArena`]s (at most one per
 //! worker). A worker running a task job checks an arena out, lends it to
-//! the closure, and returns it afterwards, so mailbox-slot, dirty-list,
-//! worklist and staging capacity carries over from task to task. A task
+//! the closure, and returns it afterwards, so mailbox-slot, worklist and
+//! staging-bucket capacity carries over from task to task. A task
 //! that panics forfeits its arena (its buffers may be mid-mutation); the
 //! free list simply refills with a fresh arena on demand.
 //!
@@ -98,8 +98,9 @@ use crate::process::Process;
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
-/// Per-destination staging buckets: `buckets[s]` holds the messages chunk
-/// `s` staged for one destination chunk, as `(destination-local slot,
+/// The staging buckets addressed to one destination chunk, block-major:
+/// `buckets[b * sources + s]` holds the messages source chunk `s` staged
+/// for block `b` of the destination, as `(destination-local slot,
 /// payload)` pairs.
 pub(crate) type Buckets<M> = Vec<Vec<(u32, M)>>;
 
@@ -1005,7 +1006,7 @@ where
 ///   task of the highest-priority class. A task that runs a whole
 ///   sequential solve (see
 ///   [`Simulator::with_arena`](crate::Simulator::with_arena)) reuses
-///   mailbox-slot, dirty-list, worklist and staging capacity from the
+///   mailbox-slot, worklist and staging-bucket capacity from the
 ///   arena it checks out.
 ///
 /// # Examples

@@ -1,5 +1,7 @@
 //! The node-program abstraction: what runs at each network node.
 
+use std::ops::Range;
+
 use crate::message::Message;
 use crate::metrics::BitBudget;
 use crate::topology::Port;
@@ -192,35 +194,35 @@ impl<M: Message> Iterator for InboxIter<'_, M> {
     }
 }
 
-/// Sentinel destination-chunk value marking a port whose receiving slot
-/// lies in the *sender's own* chunk: such messages take the intra-chunk
-/// fast path (a direct write into the local next-round mailbox) instead
-/// of the staging buckets.
-pub(crate) const LOCAL_CHUNK: u32 = u32::MAX;
+/// Sentinel routing value marking a port whose receiving slot lies in the
+/// sender's own chunk *and* that chunk's mailbox is a single delivery
+/// block: such messages are written straight into the local next-round
+/// mailbox instead of a staging bucket.
+pub(crate) const DIRECT_WRITE: u32 = u32::MAX;
 
 /// The engine-side send machinery a stepped node writes into: staging
-/// buckets for cross-chunk mail, the chunk's own next-round mailbox for
-/// the intra-chunk fast path, and send-side accounting.
+/// buckets, the chunk's own next-round mailbox for direct writes, and
+/// send-side accounting.
 ///
-/// `dest_chunk[p]` / `dest_local[p]` give, for the node's port `p`, the
-/// receiving chunk (or [`LOCAL_CHUNK`]) and its chunk-local slot index.
+/// `dest_bucket[p]` / `dest_local[p]` give, for the node's port `p`, the
+/// staging bucket of the receiving (chunk, block) pair (or
+/// [`DIRECT_WRITE`]) and the slot index in the receiving chunk's mailbox.
 #[derive(Debug)]
 pub(crate) struct StagedSends<'a, M> {
-    /// Per-destination-chunk staging buckets of `(chunk-local slot, payload)`.
+    /// Staging buckets of `(chunk-local slot, payload)`, one per
+    /// destination (chunk, block) pair.
     pub buckets: &'a mut [Vec<(u32, M)>],
-    /// Port → receiving chunk index, [`LOCAL_CHUNK`] for intra-chunk ports.
-    pub dest_chunk: &'a [u32],
+    /// Port → staging bucket, [`DIRECT_WRITE`] for direct-write ports.
+    pub dest_bucket: &'a [u32],
     /// Port → chunk-local slot in the receiving chunk's mailbox.
     pub dest_local: &'a [u32],
-    /// The sender chunk's next-round mailbox (fast-path destination).
+    /// The sender chunk's next-round mailbox (direct-write destination).
     pub nxt: &'a mut [Option<M>],
-    /// Occupied-slot list for `nxt`; fast-path writes append here so the
-    /// engine's sweep and round-limit duplicate scan see them.
-    pub dirty_nxt: &'a mut Vec<u32>,
-    /// The sender chunk's own index — the bucket a fast-path message falls
-    /// back to when its slot is already occupied (duplicate send), so the
-    /// canonical delivery-phase halted/duplicate checks still apply.
-    pub self_bucket: usize,
+    /// The buckets addressing the sender's own chunk. Mail staged outside
+    /// this range is cross-chunk; a direct write that finds its slot
+    /// occupied (a duplicate send) falls back to the first of them, so
+    /// the delivery phase applies the canonical halted/duplicate checks.
+    pub own_buckets: Range<u32>,
     /// Send-side accounting for this chunk's current round.
     pub tally: &'a mut SendTally,
     /// Per-message bit budget, if one is enforced.
@@ -230,8 +232,8 @@ pub(crate) struct StagedSends<'a, M> {
 /// Where [`Ctx::send`] puts outgoing messages.
 #[derive(Debug)]
 enum OutboxRepr<'a, M> {
-    /// The engine path: per-destination-chunk staging plus the intra-chunk
-    /// fast path, with send-side metric accounting.
+    /// The engine path: block staging buckets plus direct writes, with
+    /// send-side metric accounting.
     Staged(StagedSends<'a, M>),
     /// The unit-test path: collect raw `(port, message)` pairs.
     Collect(&'a mut Vec<(Port, M)>),
@@ -244,9 +246,8 @@ enum OutboxRepr<'a, M> {
 pub(crate) struct SendTally {
     /// Messages sent.
     pub messages: u64,
-    /// Messages whose destination slot lies in a *different* chunk (the
-    /// staging-bucket path); `messages - cross_messages` took the
-    /// intra-chunk fast path.
+    /// Messages whose destination slot lies in a *different* chunk;
+    /// `messages - cross_messages` stayed inside the sender's chunk.
     pub cross_messages: u64,
     /// Total bits sent.
     pub bits: u64,
@@ -378,25 +379,24 @@ impl<'a, M: Message> Ctx<'a, M> {
                         }
                     }
                 }
-                let chunk = sends.dest_chunk[port];
+                let bucket = sends.dest_bucket[port];
                 let local = sends.dest_local[port];
-                if chunk == LOCAL_CHUNK {
-                    // Intra-chunk fast path: write straight into the local
-                    // next-round mailbox. An occupied slot means a duplicate
-                    // same-port send; route the duplicate through the
-                    // sender chunk's own staging bucket so the delivery
-                    // phase applies the canonical halted-before-duplicate
-                    // semantics (same error, same round, as cross-chunk).
+                if bucket == DIRECT_WRITE {
+                    // An occupied slot means a duplicate same-port send (or
+                    // stale mail of a halted receiver); stage it so the
+                    // delivery phase applies the canonical
+                    // halted-before-duplicate semantics.
                     let slot = &mut sends.nxt[local as usize];
                     if slot.is_none() {
                         *slot = Some(msg);
-                        sends.dirty_nxt.push(local);
                     } else {
-                        sends.buckets[sends.self_bucket].push((local, msg));
+                        sends.buckets[sends.own_buckets.start as usize].push((local, msg));
                     }
                 } else {
-                    sends.tally.cross_messages += 1;
-                    sends.buckets[chunk as usize].push((local, msg));
+                    if !sends.own_buckets.contains(&bucket) {
+                        sends.tally.cross_messages += 1;
+                    }
+                    sends.buckets[bucket as usize].push((local, msg));
                 }
             }
             OutboxRepr::Collect(out) => out.push((port, msg)),

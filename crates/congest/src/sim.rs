@@ -3,8 +3,8 @@
 //! Drives the shared [`engine`](crate::engine) as its single-chunk special
 //! case: per round, [`phase_step`](crate::engine::phase_step) steps active
 //! nodes against the flat mailbox arena and
-//! [`phase_deliver`](crate::engine::phase_deliver) scatters the staged
-//! messages and swaps the buffers. See the engine module docs for the
+//! [`phase_deliver`](crate::engine::phase_deliver) drains the staged
+//! messages block by block and swaps the buffers. See the engine module docs for the
 //! arena layout, the determinism contract, and the zero-allocation
 //! guarantee.
 
@@ -74,8 +74,8 @@ impl<P: Process> Simulator<P> {
     }
 
     /// Creates a simulator that recycles `arena`'s buffers — mailbox
-    /// slots, dirty lists, worklist, staging buckets and routing tables
-    /// all keep the capacity they grew in previous solves. Results are
+    /// slots, worklist, staging buckets and routing tables all keep the
+    /// capacity they grew in previous solves. Results are
     /// bit-identical to [`Simulator::new`]; recover the arena afterwards
     /// with [`into_arena`](Self::into_arena).
     ///
@@ -203,7 +203,8 @@ impl<P: Process> Simulator<P> {
         let active_at_start = self.active;
         phase_step(&mut self.chunk, self.round, self.budget);
         self.active -= self.chunk.newly_halted as usize;
-        // Single chunk: its one staging bucket is also its inbound bucket.
+        // Single chunk: its staging buckets, one per block, are also its
+        // inbound buckets.
         let mut inbound = std::mem::take(&mut self.chunk.stage);
         phase_deliver(&mut self.chunk, &mut inbound, self.round);
         self.chunk.stage = inbound;

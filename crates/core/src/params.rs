@@ -318,9 +318,9 @@ impl MwhvcConfig {
 
     /// Sets the chunk partition policy for parallel solves:
     /// [`PartitionPolicy::Locality`] clusters connected nodes into the
-    /// same worker chunk so most messages take the engine's intra-chunk
-    /// fast path. Results are bit-identical either way (and identical to
-    /// sequential solves); the policy only affects scheduling and the
+    /// same worker chunk so most messages stay on their worker. Results
+    /// are bit-identical either way (and identical to sequential solves);
+    /// the policy only affects scheduling and the
     /// intra/cross-chunk message split reported in the
     /// [`SimReport`](dcover_congest::SimReport). Sequential solves ignore
     /// it (one chunk).

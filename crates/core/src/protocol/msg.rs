@@ -9,6 +9,11 @@ const TAG_BITS: u64 = 4;
 /// paper's assumptions (weights and degrees polynomial in `n`, level deltas
 /// at most `z = O(log(f/ε))`), which the simulator's
 /// [`BitBudget`](dcover_congest::BitBudget) verifies at runtime.
+///
+/// Degrees are `u32` like the hypergraph's ids (a degree never exceeds the
+/// edge count), which keeps a message — and a mailbox slot — at 24 bytes.
+/// Bit sizes are computed from values, so the field width does not change
+/// them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MwhvcMsg {
     /// Round 0, vertex → edge: local weight and degree.
@@ -16,7 +21,7 @@ pub enum MwhvcMsg {
         /// `w(v)`.
         weight: u64,
         /// `|E(v)|`.
-        degree: u64,
+        degree: u32,
     },
     /// Round 1, edge → vertex: weight and degree of the minimum-normalized-
     /// weight member `v*`, plus the resolved multiplier `α(e)` (Appendix B
@@ -26,7 +31,7 @@ pub enum MwhvcMsg {
         /// `w(v*)`.
         weight: u64,
         /// `|E(v*)|`.
-        degree: u64,
+        degree: u32,
         /// `α(e)` under the configured policy.
         alpha: u32,
     },
@@ -38,7 +43,7 @@ pub enum MwhvcMsg {
         /// `w(v)`.
         weight: u64,
         /// `|E(v)|`.
-        degree: u64,
+        degree: u32,
         /// The seeded level `ℓ(v)` (≤ z).
         level: u32,
     },
@@ -51,7 +56,7 @@ pub enum MwhvcMsg {
         /// `w(v*)`.
         weight: u64,
         /// `|E(v*)|`.
-        degree: u64,
+        degree: u32,
         /// `α(e)` under the configured policy.
         alpha: u32,
         /// Total seeded halvings `Σ_{u∈e} ℓ(u)` (≤ f·z).
@@ -94,7 +99,7 @@ impl Message for MwhvcMsg {
         TAG_BITS
             + match *self {
                 MwhvcMsg::WeightDeg { weight, degree } => {
-                    bits_for_value(weight) + bits_for_value(degree)
+                    bits_for_value(weight) + bits_for_value(u64::from(degree))
                 }
                 MwhvcMsg::MinNorm {
                     weight,
@@ -102,7 +107,7 @@ impl Message for MwhvcMsg {
                     alpha,
                 } => {
                     bits_for_value(weight)
-                        + bits_for_value(degree)
+                        + bits_for_value(u64::from(degree))
                         + bits_for_value(u64::from(alpha))
                 }
                 MwhvcMsg::WeightDegWarm {
@@ -111,7 +116,7 @@ impl Message for MwhvcMsg {
                     level,
                 } => {
                     bits_for_value(weight)
-                        + bits_for_value(degree)
+                        + bits_for_value(u64::from(degree))
                         + bits_for_value(u64::from(level))
                 }
                 MwhvcMsg::MinNormWarm {
@@ -121,7 +126,7 @@ impl Message for MwhvcMsg {
                     halvings,
                 } => {
                     bits_for_value(weight)
-                        + bits_for_value(degree)
+                        + bits_for_value(u64::from(degree))
                         + bits_for_value(u64::from(alpha))
                         + bits_for_value(u64::from(halvings))
                 }
@@ -150,6 +155,11 @@ mod tests {
         };
         assert_eq!(small.bit_size(), TAG_BITS + 2);
         assert_eq!(big.bit_size(), TAG_BITS + 41 + 21);
+    }
+
+    #[test]
+    fn a_mailbox_slot_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Option<MwhvcMsg>>(), 24);
     }
 
     #[test]

@@ -25,21 +25,39 @@ pub(crate) enum VertexOutcome {
     AllCovered,
 }
 
+/// A vertex's replica of one incident edge's bid state.
+#[derive(Copy, Clone, Debug)]
+struct PortState {
+    /// `bid(e)`.
+    bid: f64,
+    /// `α(e)`, as resolved by the edge in round 1.
+    alpha: u32,
+    /// Whether `e` is still uncovered.
+    live: bool,
+}
+
+impl PortState {
+    const INITIAL: Self = Self {
+        bid: 0.0,
+        alpha: 2,
+        live: true,
+    };
+}
+
 /// Per-vertex program state.
 #[derive(Clone, Debug)]
 pub(crate) struct VertexNode {
     // ---- immutable local input ----
     weight_int: u64,
     weight: f64,
-    degree: usize,
+    /// `|E(v)|`, as shipped in the init messages.
+    degree: u32,
     beta: f64,
     z: u32,
     variant: Variant,
     // ---- per-port replicas (index = port = position in E(v)) ----
-    bids: Vec<f64>,
+    ports: Vec<PortState>,
     duals: Vec<f64>,
-    alphas: Vec<u32>,
-    live: Vec<bool>,
     live_count: usize,
     // ---- scalars ----
     dual_sum: f64,
@@ -55,14 +73,12 @@ impl VertexNode {
         Self {
             weight_int: weight,
             weight: weight as f64,
-            degree,
+            degree: u32::try_from(degree).expect("hypergraphs store degrees as u32"),
             beta,
             z,
             variant,
-            bids: vec![0.0; degree],
+            ports: vec![PortState::INITIAL; degree],
             duals: vec![0.0; degree],
-            alphas: vec![2; degree],
-            live: vec![true; degree],
             live_count: degree,
             dual_sum: 0.0,
             level: 0,
@@ -90,14 +106,12 @@ impl VertexNode {
         Self {
             weight_int: weight,
             weight: weight as f64,
-            degree,
+            degree: u32::try_from(degree).expect("hypergraphs store degrees as u32"),
             beta,
             z,
             variant,
-            bids: vec![0.0; degree],
+            ports: vec![PortState::INITIAL; degree],
             duals,
-            alphas: vec![2; degree],
-            live: vec![true; degree],
             live_count: degree,
             dual_sum,
             level,
@@ -137,13 +151,13 @@ impl VertexNode {
             if self.warm {
                 ctx.broadcast(MwhvcMsg::WeightDegWarm {
                     weight: self.weight_int,
-                    degree: self.degree as u64,
+                    degree: self.degree,
                     level: self.level,
                 });
             } else {
                 ctx.broadcast(MwhvcMsg::WeightDeg {
                     weight: self.weight_int,
-                    degree: self.degree as u64,
+                    degree: self.degree,
                 });
             }
             return Status::Running;
@@ -171,7 +185,7 @@ impl VertexNode {
             // seeded value IS the dual, and freshly inserted edges start
             // at δ = 0 and earn their first increment through the regular
             // raise cycle — keeping every replica in exact agreement.
-            debug_assert_eq!(ctx.inbox().len(), self.degree);
+            debug_assert_eq!(ctx.inbox().len(), self.ports.len());
             for item in ctx.inbox() {
                 let MwhvcMsg::MinNormWarm {
                     weight,
@@ -182,13 +196,14 @@ impl VertexNode {
                 else {
                     unreachable!("warm round 2 inbox must be MinNormWarm, got {:?}", item.msg);
                 };
-                self.bids[item.port] = apply_halvings(initial_bid(weight, degree), halvings);
-                self.alphas[item.port] = alpha;
+                let port = &mut self.ports[item.port];
+                port.bid = apply_halvings(initial_bid(weight, degree.into()), halvings);
+                port.alpha = alpha;
             }
         } else if ctx.round() == INIT_ROUNDS {
             // Iteration 0 results: every edge reported its minimum
             // normalized weight; reconstruct bid0 and δ0 locally.
-            debug_assert_eq!(ctx.inbox().len(), self.degree);
+            debug_assert_eq!(ctx.inbox().len(), self.ports.len());
             for item in ctx.inbox() {
                 let MwhvcMsg::MinNorm {
                     weight,
@@ -198,10 +213,11 @@ impl VertexNode {
                 else {
                     unreachable!("round 2 inbox must be MinNorm, got {:?}", item.msg);
                 };
-                let bid = initial_bid(weight, degree);
-                self.bids[item.port] = bid;
+                let bid = initial_bid(weight, degree.into());
+                let port = &mut self.ports[item.port];
+                port.bid = bid;
+                port.alpha = alpha;
                 self.duals[item.port] = bid;
-                self.alphas[item.port] = alpha;
                 self.dual_sum += bid;
             }
         } else {
@@ -212,13 +228,14 @@ impl VertexNode {
                     unreachable!("V1 inbox must be RaiseApplied, got {:?}", item.msg);
                 };
                 let p = item.port;
-                debug_assert!(self.live[p]);
+                let port = &mut self.ports[p];
+                debug_assert!(port.live);
                 if raised {
-                    self.bids[p] = apply_raise(self.bids[p], self.alphas[p]);
+                    port.bid = apply_raise(port.bid, port.alpha);
                 }
                 let add = match self.variant {
-                    Variant::Standard => self.bids[p],
-                    Variant::HalfBid => self.bids[p] / 2.0,
+                    Variant::Standard => port.bid,
+                    Variant::HalfBid => port.bid / 2.0,
                 };
                 self.duals[p] += add;
                 self.dual_sum += add;
@@ -254,20 +271,20 @@ impl VertexNode {
     /// V2: prune covered edges (3b/3c), apply halvings, raise/stuck (3e).
     fn phase_v2(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         for item in ctx.inbox() {
-            let p = item.port;
+            let port = &mut self.ports[item.port];
             match item.msg {
                 MwhvcMsg::Covered => {
-                    debug_assert!(self.live[p]);
-                    self.live[p] = false;
+                    debug_assert!(port.live);
+                    port.live = false;
                     self.live_count -= 1;
                     // δ(e) stays frozen at its last value (paper: δ_i(e) =
                     // δ_{j-1}(e) for covered edges) and keeps contributing
                     // to dual_sum.
                 }
                 MwhvcMsg::Halved { count } => {
-                    debug_assert!(self.live[p]);
+                    debug_assert!(port.live);
                     if count > 0 {
-                        self.bids[p] = apply_halvings(self.bids[p], count);
+                        port.bid = apply_halvings(port.bid, count);
                     }
                 }
                 other => unreachable!("V2 inbox must be Covered/Halved, got {other:?}"),
@@ -282,11 +299,9 @@ impl VertexNode {
         // multiplier among live edges keeps Claim 1 intact.
         let mut alpha_max = 2u32;
         let mut bid_sum = 0.0;
-        for p in 0..self.degree {
-            if self.live[p] {
-                alpha_max = alpha_max.max(self.alphas[p]);
-                bid_sum += self.bids[p];
-            }
+        for port in self.ports.iter().filter(|port| port.live) {
+            alpha_max = alpha_max.max(port.alpha);
+            bid_sum += port.bid;
         }
         let threshold = pow2_neg(self.level + 1) * self.weight / f64::from(alpha_max);
         let msg = if bid_sum <= threshold {
@@ -299,8 +314,8 @@ impl VertexNode {
     }
 
     fn send_live(&self, ctx: &mut Ctx<'_, MwhvcMsg>, msg: MwhvcMsg) {
-        for p in 0..self.degree {
-            if self.live[p] {
+        for (p, port) in self.ports.iter().enumerate() {
+            if port.live {
                 ctx.send(p, msg);
             }
         }
@@ -433,7 +448,7 @@ mod tests {
         let mut ctx = ctx_at(4, 2, &inbox, &mut out);
         assert_eq!(v.on_round(&mut ctx), Status::Running);
         assert_eq!(v.dual_sum(), dual_before, "duals frozen, not removed");
-        assert_eq!(v.bids[1], 2.5 * 0.25, "bid halved twice");
+        assert_eq!(v.ports[1].bid, 2.5 * 0.25, "bid halved twice");
         // Only the live port gets the raise/stuck message.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 1);

@@ -150,8 +150,8 @@ impl MwhvcSolver {
     }
 
     /// Like [`solve`](Self::solve), but recycles the buffers of `arena`
-    /// across calls (mailbox slots, dirty lists, worklists and staging
-    /// buckets keep their capacity), which is what a serving loop wants.
+    /// across calls (mailbox slots, worklists and staging buckets keep
+    /// their capacity), which is what a serving loop wants.
     /// Results are bit-identical to [`solve`](Self::solve).
     /// [`SolveSession::solve_batch`](crate::SolveSession::solve_batch)
     /// drives this from a worker pool with one arena per worker.
