@@ -2,7 +2,7 @@
 //!
 //! None of the cited algorithms has a public implementation, so this crate
 //! *reconstructs* the algorithmic idea behind each comparison row with the
-//! same asymptotic driver (see `DESIGN.md` §5 for the substitution notes):
+//! same asymptotic driver (each module's docs note what it substitutes):
 //!
 //! * [`kvy`] — Khuller–Vishkin–Young-style **uniform-increase parallel
 //!   primal-dual** \[15\]: every uncovered hyperedge simultaneously raises

@@ -2,10 +2,10 @@
 //! chunking on the parallel round engine.
 //!
 //! The parallel scheduler splits the bipartite incidence network into one
-//! contiguous slot-range chunk per worker. `PartitionPolicy::Contiguous`
-//! cuts the input order; `PartitionPolicy::Locality` first computes a
-//! BFS-clustered arrangement so connected nodes land in the same chunk,
-//! then cuts the arrangement. Messages staying inside a chunk take the
+//! chunk per worker. `PartitionPolicy::Contiguous` cuts the input order;
+//! `PartitionPolicy::Locality` assigns chunks along a breadth-first
+//! traversal so connected nodes land in the same chunk, balancing the
+//! vertex side and the hyperedge side separately. Messages staying inside a chunk take the
 //! intra-chunk fast path (a direct mailbox write); messages crossing the
 //! cut go through per-destination staging buckets and a delivery phase.
 //! This benchmark measures, for each instance family and thread count,
@@ -25,8 +25,10 @@
 //! machine-readable record (see `scripts/bench_partition.sh`) and
 //! `BENCH_PARTITION_SMOKE=1` for a seconds-long smoke run (CI uses it to
 //! catch bench bitrot; the record asserts the locality policy strictly
-//! lowers the geometric cut at every measured thread count before
-//! writing anything).
+//! lowers the cut of every family at every measured thread count before
+//! writing anything). The record carries the machine's `nproc` and marks
+//! the points whose thread count exceeds it as `oversubscribed`: their
+//! rounds/sec measure time-sliced workers, not parallel speedup.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -46,6 +48,11 @@ const POLICIES: [PartitionPolicy; 2] = [PartitionPolicy::Contiguous, PartitionPo
 
 fn smoke() -> bool {
     std::env::var("BENCH_PARTITION_SMOKE").is_ok_and(|v| v != "0")
+}
+
+/// Hardware threads of the machine the bench runs on.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn families() -> Vec<(&'static str, Hypergraph)> {
@@ -187,39 +194,37 @@ fn main() {
         results.push((family, g.n(), g.m(), points));
     }
 
-    // The headline claim: on the spatially-clustered family the locality
-    // arrangement must strictly lower the cut at every measured thread
-    // count. Asserted before the record is written, so a checked-in
-    // BENCH_partition.json is always a witness.
-    let geometric = &results
-        .iter()
-        .find(|(f, ..)| *f == "geometric")
-        .expect("geometric family")
-        .3;
-    for threads in THREAD_COUNTS {
-        let cross = |policy: PartitionPolicy| {
-            geometric
-                .iter()
-                .find(|p| p.threads == threads && p.policy == policy)
-                .expect("measured point")
-                .cross_fraction
-        };
-        let (contiguous, locality) = (
-            cross(PartitionPolicy::Contiguous),
-            cross(PartitionPolicy::Locality),
-        );
-        assert!(
-            locality < contiguous,
-            "locality policy must strictly lower the geometric cut at {threads} threads \
-             (locality {locality:.4} vs contiguous {contiguous:.4})"
-        );
+    // The headline claim: the locality policy must strictly lower the cut
+    // of every family at every measured thread count. Asserted before the
+    // record is written, so a checked-in BENCH_partition.json is always a
+    // witness.
+    for (family, _, _, points) in &results {
+        for threads in THREAD_COUNTS {
+            let cross = |policy: PartitionPolicy| {
+                points
+                    .iter()
+                    .find(|p| p.threads == threads && p.policy == policy)
+                    .expect("measured point")
+                    .cross_fraction
+            };
+            let (contiguous, locality) = (
+                cross(PartitionPolicy::Contiguous),
+                cross(PartitionPolicy::Locality),
+            );
+            assert!(
+                locality < contiguous,
+                "locality policy must strictly lower the {family} cut at {threads} threads \
+                 (locality {locality:.4} vs contiguous {contiguous:.4})"
+            );
+        }
     }
 
     if let Ok(path) = std::env::var("BENCH_PARTITION_JSON") {
         let point_json = |p: &Point| {
             format!(
-                "      {{\"threads\": {}, \"policy\": \"{}\", \"rounds_per_sec\": {:.1}, \"cross_fraction\": {:.6}, \"intra_chunk_messages\": {}, \"cross_chunk_messages\": {}}}",
+                "      {{\"threads\": {}, \"oversubscribed\": {}, \"policy\": \"{}\", \"rounds_per_sec\": {:.1}, \"cross_fraction\": {:.6}, \"intra_chunk_messages\": {}, \"cross_chunk_messages\": {}}}",
                 p.threads,
+                p.threads > nproc(),
                 p.policy,
                 p.rounds_per_sec,
                 p.cross_fraction,
@@ -234,8 +239,9 @@ fn main() {
             )
         };
         let json = format!(
-            "{{\n  \"benchmark\": \"partition\",\n  \"epsilon\": {EPSILON},\n  \"smoke\": {},\n  \"thread_counts\": [2, 4, 8],\n  \"families\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"benchmark\": \"partition\",\n  \"epsilon\": {EPSILON},\n  \"smoke\": {},\n  \"nproc\": {},\n  \"thread_counts\": [2, 4, 8],\n  \"families\": [\n{}\n  ]\n}}\n",
             smoke(),
+            nproc(),
             results.iter().map(family_json).collect::<Vec<_>>().join(",\n"),
         );
         std::fs::File::create(&path)

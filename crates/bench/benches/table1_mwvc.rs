@@ -1,7 +1,8 @@
 //! **T1 — Table 1 of the paper**: distributed algorithms for minimum weight
 //! vertex cover (`f = 2`), measured head-to-head on identical instances.
 //!
-//! Paper rows reproduced (see DESIGN.md §5 for reconstruction notes):
+//! Paper rows reproduced (the `dcover-baselines` crate docs note how each
+//! baseline is reconstructed):
 //! * *this work* `(2+ε)` — `O(log Δ/log log Δ + log ε⁻¹·(log Δ)^0.001)`;
 //! * *this work* `2`-approx — ε = 1/(nW), `O(log n)` (Cor. 10);
 //! * KVY-style `O(log ε⁻¹ · log n)` [15];

@@ -1,7 +1,7 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Each bench target (one per table/figure of the paper — see `DESIGN.md`
-//! §3 for the experiment index) uses these helpers to build seeded
+//! Each bench target (one per table/figure of the paper, listed in this
+//! crate's `Cargo.toml`) uses these helpers to build seeded
 //! workloads, run the algorithm plus baselines, render markdown tables, and
 //! fit measured round counts against the theoretical complexity shapes.
 

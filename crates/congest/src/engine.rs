@@ -43,15 +43,17 @@
 //! Nodes are partitioned into chunks (one per worker; the sequential
 //! scheduler is the 1-chunk special case): a contiguous range of
 //! *positions* in the arrangement chosen by a
-//! [`Partition`](crate::partition::Partition) — the original id order
-//! under `PartitionPolicy::Contiguous`, a breadth-first locality
-//! arrangement under `PartitionPolicy::Locality`. The chunk remembers the
+//! [`Partition`](crate::partition::Partition) — port-balanced id ranges
+//! under `PartitionPolicy::Contiguous`; under `PartitionPolicy::Locality`,
+//! chunks assigned along a breadth-first traversal with the vertex and
+//! hyperedge sides balanced separately. Either way a chunk lists its
+//! nodes in ascending id order. The chunk remembers the
 //! original id of every node it hosts (`global_ids`), so node programs
 //! observe their true ids regardless of placement. Each round runs two
 //! phases:
 //!
 //! 1. [`phase_step`] — every chunk steps its active nodes in ascending
-//!    position order. Each send either takes the direct write or is
+//!    position (= ascending id) order. Each send either takes the direct write or is
 //!    staged as a `(destination slot, payload)` pair into the bucket of
 //!    its destination (chunk, block); the routing tables built by
 //!    [`ChunkState::rebuild`] decide which, per port. All sends are
@@ -76,7 +78,9 @@
 //! # Determinism contract
 //!
 //! All per-round metrics are sums and maxima over sends, merged in
-//! ascending chunk order (= ascending node id, the sequential step order).
+//! ascending chunk order (under the contiguous policy that is ascending
+//! node id, the sequential step order), so the merge order cannot change
+//! them.
 //! Node programs observe identical inboxes in both schedulers because slot
 //! layout is structural. Therefore `Simulator` and `ParallelSimulator`
 //! produce **bit-identical** node states, [`RoundMetrics`], and
@@ -119,10 +123,10 @@ fn blocks_of(num_slots: usize) -> usize {
 /// the scheduler and a worker thread.
 #[derive(Debug)]
 pub(crate) struct ChunkState<P: Process> {
-    /// Original (global) node id per local node. Under the identity
-    /// arrangement this is just `first_position + lu`; under a locality
-    /// arrangement it is the permutation restricted to this chunk. Node
-    /// programs, error reports, and result scatter all use it.
+    /// Original (global) node id per local node, ascending. Under the
+    /// identity arrangement this is just `first_position + lu`; under a
+    /// locality arrangement it is the set of ids the chunk hosts. Node
+    /// programs and error reports use it.
     pub global_ids: Vec<u32>,
     /// Node programs, indexed by local id.
     pub nodes: Vec<P>,

@@ -32,7 +32,14 @@
 //! back to itself. Only *cross-chunk* mail changes hands between workers,
 //! so a [`PartitionPolicy::Locality`] chunking — which clusters connected
 //! nodes — shrinks the per-round cross-thread traffic to the true
-//! boundary cut. [`SimReport`] records the split.
+//! boundary cut, and because it balances the vertex side and the
+//! hyperedge side separately, every worker has work in every MWHVC round.
+//! [`SimReport`] records the split.
+//!
+//! Each chunk lists its nodes in ascending id order under either policy,
+//! so construction fills the chunks in one pass over the programs in id
+//! order, and [`ParallelSimulator::into_pool`] merges them back the same
+//! way.
 
 use crate::cancel::Interrupt;
 use crate::engine::{finish_round, ChunkState, EngineArena};
@@ -176,7 +183,7 @@ impl<P: Process + 'static> ParallelSimulator<P> {
         let n = nodes.len();
         let workers = pool.workers().min(n).max(1);
         let part = Partition::new(&topo, workers, policy);
-        let mut chunks = Vec::with_capacity(workers);
+        let mut chunks: Vec<Box<ChunkState<P>>> = Vec::with_capacity(workers);
         if part.is_identity() {
             // Identity arrangement: chunk ranges are id ranges, so the
             // node vector splits off in place, no per-node moves.
@@ -185,39 +192,34 @@ impl<P: Process + 'static> ParallelSimulator<P> {
                 let mut arena = pool.take_arena();
                 arena.chunk.rebuild(&topo, &part, index);
                 arena.chunk.nodes = nodes.split_off(part.bounds()[index]);
-                chunks.push(Some(arena.chunk));
+                chunks.push(arena.chunk);
             }
             chunks.reverse();
         } else {
-            // Permuted arrangement: gather each chunk's programs by
-            // position. `global_ids` remembers the inverse for
-            // [`into_pool`](Self::into_pool)'s scatter.
-            let mut slots: Vec<Option<P>> = nodes.into_iter().map(Some).collect();
+            // Permuted arrangement: every chunk lists ascending ids, so one
+            // pass over the programs in id order fills each chunk in
+            // position order.
             for index in 0..workers {
                 let mut arena = pool.take_arena();
                 arena.chunk.rebuild(&topo, &part, index);
-                let (start, end) = (part.bounds()[index], part.bounds()[index + 1]);
-                // invariant: `Partition::new` produces a permutation of
-                // `0..n` — `node_at` visits every id exactly once, so no
-                // slot is taken twice.
-                arena.chunk.nodes.extend(
-                    (start..end).map(|pos| slots[part.node_at(pos)].take().expect("placed once")),
-                );
-                chunks.push(Some(arena.chunk));
+                arena
+                    .chunk
+                    .nodes
+                    .reserve_exact(arena.chunk.global_ids.len());
+                chunks.push(arena.chunk);
+            }
+            for (id, node) in nodes.into_iter().enumerate() {
+                chunks[part.chunk_of(id)].nodes.push(node);
             }
         }
         let inbound_pool = chunks
             .iter()
-            .map(|c| {
-                Some(Vec::with_capacity(
-                    workers * home(c.as_ref()).own_buckets.len(),
-                ))
-            })
+            .map(|c| Some(Vec::with_capacity(workers * c.own_buckets.len())))
             .collect();
         Self {
             topo,
             part,
-            chunks,
+            chunks: chunks.into_iter().map(Some).collect(),
             inbound_pool,
             pool,
             active: n,
@@ -287,18 +289,25 @@ impl<P: Process + 'static> ParallelSimulator<P> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &P {
-        let pos = self.part.position(id);
-        let bounds = self.part.bounds();
-        let c = bounds[1..].partition_point(|&b| b <= pos);
+        let c = self.part.chunk_of(id);
         let chunk = home(self.chunks[c].as_ref());
-        &chunk.nodes[pos - bounds[c]]
+        &chunk.nodes[self.part.position(id) - self.part.bounds()[c]]
     }
 
     /// Consumes the simulator, returning node programs (ascending id order)
     /// and the report. The pool (and its arenas) are dropped; use
     /// [`into_pool`](Self::into_pool) to keep them.
     #[must_use]
-    pub fn into_parts(self) -> (Vec<P>, SimReport) {
+    pub fn into_parts(mut self) -> (Vec<P>, SimReport) {
+        // The arenas are dropped with the pool anyway: free their mailboxes,
+        // buckets and routing tables first, so the vector the programs are
+        // gathered into does not add to the peak memory of the solve.
+        self.inbound_pool.clear();
+        for chunk in self.chunks.iter_mut().flatten() {
+            let nodes = std::mem::take(&mut chunk.nodes);
+            **chunk = ChunkState::empty();
+            chunk.nodes = nodes;
+        }
         let (nodes, report, _pool) = self.into_pool();
         (nodes, report)
     }
@@ -318,28 +327,19 @@ impl<P: Process + 'static> ParallelSimulator<P> {
             }
             nodes
         } else {
-            // Scatter each chunk's programs back to original id order via
-            // the per-chunk `global_ids` table.
-            let mut out: Vec<Option<P>> = Vec::with_capacity(n);
-            out.resize_with(n, || None);
-            for slot in &mut self.chunks {
-                let mut chunk = home(slot.take());
-                let ChunkState {
-                    nodes: chunk_nodes,
-                    global_ids,
-                    ..
-                } = &mut *chunk;
-                for (node, &gid) in chunk_nodes.drain(..).zip(global_ids.iter()) {
-                    out[gid as usize] = Some(node);
-                }
+            // Every chunk lists ascending ids, so taking the next program of
+            // the chunk that hosts each id in turn merges them back into id
+            // order.
+            let mut chunks: Vec<_> = self.chunks.iter_mut().map(|s| home(s.take())).collect();
+            let mut drains: Vec<_> = chunks.iter_mut().map(|c| c.nodes.drain(..)).collect();
+            let mut nodes = Vec::with_capacity(n);
+            nodes.extend((0..n).filter_map(|id| drains[self.part.chunk_of(id)].next()));
+            drop(drains);
+            debug_assert_eq!(nodes.len(), n, "every node returned");
+            for chunk in chunks {
                 self.pool.put_arena(EngineArena { chunk });
             }
-            // invariant: the per-chunk `global_ids` tables are the
-            // inverse of the placement permutation above — the scatter
-            // fills every slot exactly once.
-            out.into_iter()
-                .map(|slot| slot.expect("every node returned"))
-                .collect()
+            nodes
         };
         let mut report = self.report.clone();
         report.all_halted = self.active == 0;
@@ -441,8 +441,7 @@ impl<P: Process + 'static> ParallelSimulator<P> {
         }
 
         // The drained buckets stay parked in `inbound_pool` until the next
-        // round's routing swap. Merge tallies in ascending chunk order
-        // (= node id order).
+        // round's routing swap. Merge tallies in ascending chunk order.
         let mut merged = SendTally::default();
         for slot in &mut self.chunks {
             let chunk = home(slot.as_mut());

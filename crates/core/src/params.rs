@@ -317,8 +317,10 @@ impl MwhvcConfig {
     }
 
     /// Sets the chunk partition policy for parallel solves:
-    /// [`PartitionPolicy::Locality`] clusters connected nodes into the
-    /// same worker chunk so most messages stay on their worker. Results
+    /// [`PartitionPolicy::Locality`] assigns connected nodes to the same
+    /// worker chunk so most messages stay on their worker, and balances
+    /// the vertex side and the hyperedge side across the chunks
+    /// separately, so every worker has work in every round. Results
     /// are bit-identical either way (and identical to sequential solves);
     /// the policy only affects scheduling and the
     /// intra/cross-chunk message split reported in the

@@ -51,7 +51,7 @@ impl IlpOutcome {
 /// The guarantee certified by the dual at runtime is `rank(H) + ε` where
 /// `rank(H) ≤ f(A)·(⌊log₂ M⌋+1)` is the reduced hypergraph's rank; the
 /// paper's refined analysis states `f + ε` (Theorem 19) — measured ratios
-/// are reported against both in `EXPERIMENTS.md`.
+/// are reported against both by the `ilp_reduction` bench.
 ///
 /// # Examples
 ///

@@ -38,9 +38,9 @@
 //! # }
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and per-experiment index, and `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! See `README.md` for the architecture overview and its documentation
+//! map, and `crates/bench/benches/` for the benches that reproduce the
+//! paper's tables and figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
